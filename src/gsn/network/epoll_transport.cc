@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "gsn/util/logging.h"
@@ -44,32 +45,42 @@ void PutString(std::string* out, const std::string& s) {
 
 /// Wire frame of the peer plane: u32 body length, then four
 /// length-prefixed strings (from, to, topic, payload). `to` is empty
-/// for broadcasts.
+/// for broadcasts. Built in one reserved string, outside any lock.
 std::string EncodeFrame(const std::string& from, const std::string& to,
                         const std::string& topic,
                         const std::string& payload) {
-  std::string body;
-  body.reserve(16 + from.size() + to.size() + topic.size() + payload.size());
-  PutString(&body, from);
-  PutString(&body, to);
-  PutString(&body, topic);
-  PutString(&body, payload);
+  const size_t body_len =
+      16 + from.size() + to.size() + topic.size() + payload.size();
   std::string frame;
-  frame.reserve(4 + body.size());
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  frame.append(body);
+  frame.reserve(4 + body_len);
+  PutU32(&frame, static_cast<uint32_t>(body_len));
+  PutString(&frame, from);
+  PutString(&frame, to);
+  PutString(&frame, topic);
+  PutString(&frame, payload);
   return frame;
 }
 
-bool GetString(const std::string& body, size_t* pos, std::string* out) {
-  if (body.size() - *pos < 4) return false;
-  const uint32_t len = GetU32(body.data() + *pos);
-  *pos += 4;
-  if (body.size() - *pos < len) return false;
-  out->assign(body, *pos, len);
-  *pos += len;
+/// Consumes one length-prefixed string from the front of `in`.
+bool GetString(std::string_view* in, std::string* out) {
+  if (in->size() < 4) return false;
+  const uint32_t len = GetU32(in->data());
+  in->remove_prefix(4);
+  if (in->size() < len) return false;
+  out->assign(in->data(), len);
+  in->remove_prefix(len);
   return true;
 }
+
+/// Nagle plus the peer's delayed ACK can hold a small write for ~40 ms.
+/// Not fatal on failure (like SO_REUSEADDR).
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+/// A write buffer above this capacity is shrunk to fit when it compacts.
+constexpr size_t kOutbufSlackBytes = 64 * 1024;
 
 std::string AddrToString(const sockaddr_in& addr) {
   char ip[INET_ADDRSTRLEN] = {0};
@@ -299,6 +310,7 @@ Status EpollTransport::Send(Timestamp now, const std::string& from,
                             const std::string& to, const std::string& topic,
                             std::string payload) {
   if (!running_.load()) return Status::Unavailable("transport not started");
+  const std::string frame = EncodeFrame(from, to, topic, payload);
   NetworkNode* local = nullptr;
   Status status = Status::OK();
   {
@@ -307,8 +319,7 @@ Status EpollTransport::Send(Timestamp now, const std::string& from,
     if (it != local_nodes_.end()) {
       local = it->second;
     } else {
-      status =
-          EnqueueFrameLocked(to, EncodeFrame(from, to, topic, payload));
+      status = EnqueueFrameLocked(to, frame);
     }
   }
   if (local != nullptr) {
@@ -330,6 +341,7 @@ Status EpollTransport::Broadcast(Timestamp now, const std::string& from,
                                  const std::string& topic,
                                  const std::string& payload) {
   if (!running_.load()) return Status::Unavailable("transport not started");
+  const std::string frame = EncodeFrame(from, "", topic, payload);
   std::vector<std::pair<std::string, NetworkNode*>> locals;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -346,7 +358,6 @@ Status EpollTransport::Broadcast(Timestamp now, const std::string& from,
       locals.emplace_back(node_id, node);
       remote_targets.erase(node_id);
     }
-    const std::string frame = EncodeFrame(from, "", topic, payload);
     for (const std::string& target : remote_targets) {
       // Best effort: a down peer fails its own enqueue, not the round.
       (void)EnqueueFrameLocked(target, frame);
@@ -378,7 +389,7 @@ std::vector<ConnectionStats> EpollTransport::Connections() const {
     stats.state = conn->connecting ? "connecting"
                   : conn->want_close ? "draining"
                                      : "open";
-    stats.queued_bytes = conn->out_bytes;
+    stats.queued_bytes = conn->queued();
     stats.requests_served = conn->requests_served;
     stats.frames_in = conn->frames_in;
     stats.frames_out = conn->frames_out;
@@ -397,7 +408,7 @@ size_t EpollTransport::connection_count() const {
 // ------------------------------------------------------------- Shared path
 
 Status EpollTransport::EnqueueFrameLocked(const std::string& to,
-                                          const std::string& bytes) {
+                                          std::string_view frame) {
   Conn* conn = nullptr;
   auto it = peer_conns_.find(to);
   if (it != peer_conns_.end()) {
@@ -414,15 +425,14 @@ Status EpollTransport::EnqueueFrameLocked(const std::string& to,
   // Occupancy check: a queue already at its bound means the peer is
   // not draining; one frame may exceed the bound so oversized frames
   // still pass when the link is healthy.
-  if (conn->out_bytes >= options_.max_write_queue_bytes) {
+  if (conn->queued() >= options_.max_write_queue_bytes) {
     // Backpressure: drop the queue and disconnect the slow peer; the
     // resilience layer above re-delivers via NACK/replay.
     overflows_total_.fetch_add(1);
     if (overflows_counter_) overflows_counter_->Increment();
-    total_out_bytes_ -= conn->out_bytes;
-    conn->outq.clear();
+    total_out_bytes_ -= conn->queued();
+    conn->outbuf.clear();
     conn->out_off = 0;
-    conn->out_bytes = 0;
     conn->want_close = true;
     flush_pending_.insert(conn->fd);
     pending_errors_.emplace_back(
@@ -430,9 +440,8 @@ Status EpollTransport::EnqueueFrameLocked(const std::string& to,
     UpdateGaugesLocked();
     return Status::ResourceExhausted("write queue overflow to " + to);
   }
-  conn->out_bytes += bytes.size();
-  total_out_bytes_ += bytes.size();
-  conn->outq.push_back(bytes);
+  conn->outbuf.append(frame);
+  total_out_bytes_ += frame.size();
   ++conn->frames_out;
   flush_pending_.insert(conn->fd);
   UpdateGaugesLocked();
@@ -463,6 +472,7 @@ EpollTransport::Conn* EpollTransport::DialLocked(const std::string& node_id,
                                  ")"));
     return nullptr;
   }
+  SetNoDelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(addr_it->second.second);
@@ -674,6 +684,7 @@ void EpollTransport::AcceptReady(int listen_fd, ConnKind kind) {
     }
     accepted_total_.fetch_add(1);
     if (accepted_counter_) accepted_counter_->Increment();
+    SetNoDelay(fd);
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conn->kind = kind;
@@ -768,7 +779,7 @@ bool EpollTransport::ReadReady(Conn* conn) {
   }
   auto it = conns_.find(fd);
   if (it == conns_.end() || it->second.get() != conn) return false;
-  if (conn->read_closed && conn->outq.empty()) {
+  if (conn->read_closed && conn->queued() == 0) {
     CloseConnLocked(conn, Status::OK());
     return false;
   }
@@ -776,25 +787,26 @@ bool EpollTransport::ReadReady(Conn* conn) {
 }
 
 void EpollTransport::ProcessPeerInput(Conn* conn) {
-  // Caller holds mu_. Frames decode under the lock; deliveries queue on
-  // pending_deliveries_ and fire from FirePending outside it.
+  // Caller holds mu_. Frames decode under the lock from a cursor into
+  // inbuf; deliveries queue on pending_deliveries_ and fire from
+  // FirePending outside it.
+  const std::string_view in = conn->inbuf;
+  size_t pos = 0;
   for (;;) {
-    if (conn->inbuf.size() < 4) break;
-    const uint32_t body_len = GetU32(conn->inbuf.data());
+    if (in.size() - pos < 4) break;
+    const size_t body_len = GetU32(in.data() + pos);
     if (body_len > options_.max_frame_bytes) {
       CloseConnLocked(conn, Status::ParseError("oversized frame"));
       return;
     }
-    if (conn->inbuf.size() < 4 + static_cast<size_t>(body_len)) break;
-    const std::string body = conn->inbuf.substr(4, body_len);
-    conn->inbuf.erase(0, 4 + static_cast<size_t>(body_len));
+    if (in.size() - pos - 4 < body_len) break;
+    std::string_view body = in.substr(pos + 4, body_len);
+    pos += 4 + body_len;
     ++conn->frames_in;
-    size_t pos = 0;
     Message message;
-    if (!GetString(body, &pos, &message.from) ||
-        !GetString(body, &pos, &message.to) ||
-        !GetString(body, &pos, &message.topic) ||
-        !GetString(body, &pos, &message.payload) || pos != body.size()) {
+    if (!GetString(&body, &message.from) || !GetString(&body, &message.to) ||
+        !GetString(&body, &message.topic) ||
+        !GetString(&body, &message.payload) || !body.empty()) {
       CloseConnLocked(conn, Status::ParseError("malformed frame"));
       return;
     }
@@ -831,21 +843,27 @@ void EpollTransport::ProcessPeerInput(Conn* conn) {
     }
     frames_delivered_total_.fetch_add(1);
   }
+  conn->inbuf.erase(0, pos);
 }
 
 void EpollTransport::ProcessHttpInput(Conn* conn) {
   // Caller holds mu_; released around the handler (it may serialize
   // large container snapshots) and re-taken to enqueue the response.
+  // Only the loop thread touches inbuf, so the cursor into it survives
+  // the unlocked handler call.
   std::unique_lock<std::mutex> lock(mu_, std::adopt_lock);
+  const std::string_view in = conn->inbuf;
+  size_t pos = 0;
   for (;;) {
-    const Result<size_t> length = HttpRequestLength(conn->inbuf);
+    const Result<size_t> length = HttpRequestLength(in.substr(pos));
     if (!length.ok()) {
       CloseConnLocked(conn, length.status());
-      break;
+      lock.release();
+      return;
     }
     if (*length == 0) break;
-    const std::string raw = conn->inbuf.substr(0, *length);
-    conn->inbuf.erase(0, *length);
+    const std::string_view raw = in.substr(pos, *length);
+    pos += *length;
     ++conn->requests_served;
     http_requests_total_.fetch_add(1);
     if (http_requests_counter_) http_requests_counter_->Increment();
@@ -866,31 +884,31 @@ void EpollTransport::ProcessHttpInput(Conn* conn) {
     lock.lock();
     // Same occupancy rule as the peer plane: a slow reader whose queue
     // sits at the bound is disconnected; one response may exceed it.
-    if (conn->out_bytes >= options_.max_write_queue_bytes) {
+    if (conn->queued() >= options_.max_write_queue_bytes) {
       overflows_total_.fetch_add(1);
       if (overflows_counter_) overflows_counter_->Increment();
       CloseConnLocked(conn,
                       Status::ResourceExhausted("write queue overflow"));
-      break;
+      lock.release();
+      return;
     }
-    conn->out_bytes += bytes.size();
+    conn->outbuf.append(bytes);
     total_out_bytes_ += bytes.size();
-    conn->outq.push_back(bytes);
     UpdateGaugesLocked();
     if (!keep_alive) {
       conn->want_close = true;
       break;
     }
   }
+  conn->inbuf.erase(0, pos);
   lock.release();  // caller keeps holding mu_
 }
 
 void EpollTransport::FlushLocked(Conn* conn) {
-  while (!conn->outq.empty()) {
-    const std::string& front = conn->outq.front();
-    const ssize_t n =
-        ops_->Send(conn->fd, front.data() + conn->out_off,
-                   front.size() - conn->out_off, MSG_NOSIGNAL);
+  // Everything queued leaves in one send; a short write resumes.
+  while (conn->queued() > 0) {
+    const ssize_t n = ops_->Send(conn->fd, conn->outbuf.data() + conn->out_off,
+                                 conn->queued(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
@@ -900,16 +918,20 @@ void EpollTransport::FlushLocked(Conn* conn) {
       return;
     }
     conn->out_off += static_cast<size_t>(n);
-    conn->out_bytes -= static_cast<size_t>(n);
     total_out_bytes_ -= static_cast<size_t>(n);
     conn->last_activity_steady = SteadyMicros();
-    if (conn->out_off == front.size()) {
-      conn->outq.pop_front();
-      conn->out_off = 0;
+  }
+  // Compact once the sent prefix is at least what is left (amortised
+  // O(1) per byte) and give back the capacity a burst left behind.
+  if (conn->out_off >= conn->queued()) {
+    conn->outbuf.erase(0, conn->out_off);
+    conn->out_off = 0;
+    if (conn->outbuf.capacity() > kOutbufSlackBytes) {
+      conn->outbuf.shrink_to_fit();
     }
   }
   UpdateGaugesLocked();
-  if (conn->outq.empty() && (conn->want_close || conn->read_closed)) {
+  if (conn->queued() == 0 && (conn->want_close || conn->read_closed)) {
     CloseConnLocked(conn, Status::OK());
   }
 }
@@ -919,7 +941,7 @@ void EpollTransport::CloseConnLocked(Conn* conn, const Status& reason,
   const int fd = conn->fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  total_out_bytes_ -= conn->out_bytes;
+  total_out_bytes_ -= conn->queued();
   for (auto it = peer_conns_.begin(); it != peer_conns_.end();) {
     if (it->second == fd) {
       it = peer_conns_.erase(it);
@@ -1002,7 +1024,7 @@ void EpollTransport::MaintainLocked(Timestamp steady_now) {
   // missed edge cannot strand buffered frames forever).
   for (const auto& [fd, conn] : conns_) {
     if (conn->kind == ConnKind::kHttp) continue;
-    if (!conn->outq.empty() && !conn->connecting) {
+    if (conn->queued() > 0 && !conn->connecting) {
       flush_pending_.insert(fd);
       WakeLoop();
     }

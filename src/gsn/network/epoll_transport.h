@@ -3,13 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -177,9 +177,10 @@ class EpollTransport : public Transport {
     bool read_closed = false;  // peer half-closed its write side
     bool want_close = false;   // close once the write queue drains
     std::string inbuf;
-    std::deque<std::string> outq;  // front may be partially written
+    /// Write buffer: frames/responses are appended contiguously and
+    /// leave in one send per flush; bytes before out_off are sent.
+    std::string outbuf;
     size_t out_off = 0;
-    size_t out_bytes = 0;  // queued bytes across outq
     int64_t frames_in = 0;
     int64_t frames_out = 0;
     int64_t requests_served = 0;
@@ -188,6 +189,8 @@ class EpollTransport : public Transport {
     /// Deadline for an in-flight non-blocking connect (0 = none); a
     /// connecting conn past it is failed and redialed with backoff.
     Timestamp connect_deadline_steady = 0;
+
+    size_t queued() const { return outbuf.size() - out_off; }
   };
 
   /// Redial bookkeeping for one dial-table peer whose link failed.
@@ -213,8 +216,8 @@ class EpollTransport : public Transport {
   bool ReadReady(Conn* conn);
   void ProcessPeerInput(Conn* conn);
   void ProcessHttpInput(Conn* conn);
-  /// Drains the write queue until EAGAIN; closes on error or when
-  /// want_close hits an empty queue.
+  /// Drains the write buffer until EAGAIN; closes on error or when
+  /// want_close hits an empty buffer.
   void FlushLocked(Conn* conn);
   /// `allow_redial` is false for deliberate closes (idle reaping) that
   /// must not bounce the link back up.
@@ -229,7 +232,7 @@ class EpollTransport : public Transport {
   void FirePending();  // deliveries + callbacks queued under mu_
 
   // Shared helpers (any thread, mu_ held).
-  Status EnqueueFrameLocked(const std::string& to, const std::string& bytes);
+  Status EnqueueFrameLocked(const std::string& to, std::string_view frame);
   /// `force` skips the backoff gate (the loop redialing a due peer).
   Conn* DialLocked(const std::string& node_id, bool force);
   /// Counts a dial failure, surfaces it on the error callback with the

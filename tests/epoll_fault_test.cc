@@ -17,6 +17,7 @@
 
 #include "gsn/network/epoll_transport.h"
 #include "gsn/network/socket_ops.h"
+#include "gsn/telemetry/metrics.h"
 #include "gsn/util/clock.h"
 
 namespace gsn::network {
@@ -136,6 +137,125 @@ TEST(EpollFaultTest, SyscallStormsLoseNoFrames) {
   EXPECT_GT(ops.injected_recv_faults() + ops.injected_send_faults() +
                 ops.injected_short_writes(),
             0);
+  a.Stop();
+  b.Stop();
+}
+
+// The contiguous write buffer under the same storm: frames of mixed
+// sizes, plus one larger than the whole queue bound sent on a drained
+// (healthy) link, arrive byte-exact and in order, and the queued-bytes
+// gauge drains to 0.
+TEST(EpollFaultTest, WriteBufferStaysByteExactUnderFaults) {
+  FaultInjectingSocketOps::Config config;
+  config.seed = 13;
+  config.recv_eintr_rate = 0.2;
+  config.recv_eagain_rate = 0.1;
+  config.send_eintr_rate = 0.2;
+  config.send_eagain_rate = 0.1;
+  config.short_write_rate = 0.4;
+  FaultInjectingSocketOps ops(config);
+
+  telemetry::MetricRegistry registry;
+  EpollTransport::Options options_a;
+  options_a.socket_ops = &ops;
+  EpollTransport::Options options_b;
+  options_b.socket_ops = &ops;
+  options_b.metrics = &registry;
+  options_b.max_write_queue_bytes = 256 * 1024;
+  EpollTransport a(std::move(options_a));
+  EpollTransport b(std::move(options_b));
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  ASSERT_TRUE(a.ListenPeer(0).ok());
+  RecordingNode node_a;
+  ASSERT_TRUE(a.RegisterNode("node-a", &node_a).ok());
+  b.AddPeer("node-a", "127.0.0.1", a.peer_port());
+  const auto queued =
+      registry.GetGauge("gsn_transport_queued_bytes", {{"role", "peer"}});
+
+  // Every byte value appears, NULs included, at a per-frame offset.
+  auto payload = [](int frame, size_t size) {
+    std::string bytes(size, '\0');
+    for (size_t j = 0; j < size; ++j) {
+      bytes[j] = static_cast<char>((frame * 31 + j) & 0xff);
+    }
+    return bytes;
+  };
+  // Frames before kOversized go one at a time, so the storm gets at
+  // least that many sends however the loop batches; the rest go as one
+  // burst, whose 60 frames of at most 4 KiB stay below the bound even
+  // if none left.
+  constexpr int kFrames = 121;
+  constexpr int kOversized = 60;
+  std::vector<std::string> expected;
+  for (int i = 0; i < kFrames; ++i) {
+    const size_t size =
+        i == kOversized ? 300 * 1024 : static_cast<size_t>(i * 1237 % 4096 + 1);
+    expected.push_back(payload(i, size));
+    ASSERT_TRUE(b.Send(0, "node-b", "node-a", "seq", expected.back()).ok())
+        << i;
+    if (i < kOversized) {
+      ASSERT_TRUE(node_a.WaitForCount(i + 1)) << i;
+    } else if (i == kOversized) {
+      // Let the link drain before more frames queue behind it.
+      ASSERT_TRUE(WaitUntil([&] { return queued->Value() == 0; }));
+    }
+  }
+  ASSERT_TRUE(node_a.WaitForCount(kFrames));
+
+  const std::vector<Message> messages = node_a.Messages();
+  ASSERT_EQ(messages.size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_TRUE(messages[i].payload == expected[i]) << "frame " << i;
+  }
+  EXPECT_TRUE(WaitUntil([&] { return queued->Value() == 0; }));
+  EXPECT_EQ(b.overflows_total(), 0);
+  EXPECT_GT(ops.injected_short_writes(), 0);
+  EXPECT_GT(ops.injected_send_faults(), 0);
+  a.Stop();
+  b.Stop();
+}
+
+// The occupancy rule: one item may exceed the bound, but a send that
+// finds the queue already at it drops the queue, closes the link with
+// ResourceExhausted and counts an overflow.
+TEST(EpollFaultTest, FullWriteBufferClosesWithResourceExhausted) {
+  FaultInjectingSocketOps::Config config;
+  config.send_eagain_rate = 1.0;  // the link never drains
+  FaultInjectingSocketOps ops(config);
+
+  EpollTransport a;
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(a.ListenPeer(0).ok());
+  RecordingNode node_a;
+  ASSERT_TRUE(a.RegisterNode("node-a", &node_a).ok());
+  telemetry::MetricRegistry registry;
+  EpollTransport::Options options;
+  options.socket_ops = &ops;
+  options.metrics = &registry;
+  options.max_write_queue_bytes = 64 * 1024;
+  options.auto_redial = false;
+  EpollTransport b(std::move(options));
+  ASSERT_TRUE(b.Start().ok());
+  ErrorSink errors;
+  errors.Attach(&b);
+  b.AddPeer("node-a", "127.0.0.1", a.peer_port());
+  const auto queued =
+      registry.GetGauge("gsn_transport_queued_bytes", {{"role", "peer"}});
+
+  ASSERT_TRUE(
+      b.Send(0, "node-b", "node-a", "big", std::string(80 * 1024, 'x')).ok());
+  EXPECT_GT(queued->Value(), 80 * 1024);
+  const Status overflow = b.Send(0, "node-b", "node-a", "next", "y");
+  EXPECT_EQ(overflow.code(), StatusCode::kResourceExhausted)
+      << overflow.ToString();
+  EXPECT_EQ(b.overflows_total(), 1);
+  EXPECT_EQ(queued->Value(), 0);
+
+  ASSERT_TRUE(errors.WaitForPeerError("node-a"));
+  EXPECT_EQ(errors.Errors()[0].second.code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(WaitUntil([&] { return b.connection_count() == 0; }));
+  EXPECT_TRUE(node_a.Messages().empty());
   a.Stop();
   b.Stop();
 }

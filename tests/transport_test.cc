@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -21,6 +22,7 @@
 
 #include "gsn/container/container.h"
 #include "gsn/network/epoll_transport.h"
+#include "gsn/network/socket_ops.h"
 #include "gsn/telemetry/metrics.h"
 #include "gsn/util/clock.h"
 
@@ -256,6 +258,45 @@ TEST(EpollTransportHttpTest, KeepAliveServesPipelinedRequests) {
   t.Stop();
 }
 
+// 64 pipelined requests arriving in one write are consumed from a
+// cursor and answered completely and in order.
+TEST(EpollTransportHttpTest, SixtyFourPipelinedRequestsInOneWrite) {
+  EpollTransport t;
+  ASSERT_TRUE(t.Start().ok());
+  ASSERT_TRUE(t.ListenHttp(0, EchoHandler()).ok());
+
+  RawClient client(t.http_port());
+  ASSERT_TRUE(client.connected());
+  constexpr int kRequests = 64;
+  std::vector<std::string> paths;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    paths.push_back("/r" + std::string(i < 10 ? "0" : "") + std::to_string(i));
+    burst += "GET " + paths.back() + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  }
+  ASSERT_TRUE(client.SendAll(burst));
+  const std::string responses = client.ReadUntil("echo:/r", kRequests);
+
+  size_t last = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const size_t at = responses.find("echo:" + paths[i], last);
+    ASSERT_NE(at, std::string::npos) << "missing or out of order: " << i;
+    last = at;
+  }
+  size_t complete = 0;
+  for (size_t at = responses.find("HTTP/1.1 200 OK"); at != std::string::npos;
+       at = responses.find("HTTP/1.1 200 OK", at + 1)) {
+    ++complete;
+  }
+  EXPECT_EQ(complete, static_cast<size_t>(kRequests));
+  EXPECT_TRUE(WaitUntil([&] {
+    const auto stats = t.Connections();
+    return !stats.empty() && stats[0].requests_served == kRequests &&
+           stats[0].queued_bytes == 0;
+  }));
+  t.Stop();
+}
+
 TEST(EpollTransportHttpTest, Http10ClosesAfterResponse) {
   EpollTransport t;
   ASSERT_TRUE(t.Start().ok());
@@ -352,6 +393,184 @@ TEST(EpollTransportHttpTest, MetricsRegisterWhenInjected) {
   EXPECT_NE(exposition.find("gsn_transport_connections{role=\"test\"}"),
             std::string::npos);
   t.Stop();
+}
+
+// ------------------------------------------------------------- write path
+
+/// SocketOps that records the fds it hands out, counts Send calls, and
+/// can park the loop thread inside one Accept4 — where the transport
+/// holds no lock — so a test can queue frames before any flush runs.
+class ObservingSocketOps : public SocketOps {
+ public:
+  int Socket(int domain, int type, int protocol) override {
+    const int fd = SocketOps::Socket(domain, type, protocol);
+    Record(fd);
+    return fd;
+  }
+  int Accept4(int fd, sockaddr* addr, socklen_t* len, int flags) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (park_next_accept_) {
+        park_next_accept_ = false;
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return !parked_; });
+      }
+    }
+    const int accepted = SocketOps::Accept4(fd, addr, len, flags);
+    Record(accepted);
+    return accepted;
+  }
+  ssize_t Send(int fd, const void* buf, size_t len, int flags) override {
+    sends_.fetch_add(1);
+    return SocketOps::Send(fd, buf, len, flags);
+  }
+
+  void ParkNextAccept() {
+    std::lock_guard<std::mutex> lock(mu_);
+    park_next_accept_ = true;
+  }
+  bool WaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, milliseconds(5000), [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    park_next_accept_ = false;
+    parked_ = false;
+    cv_.notify_all();
+  }
+  std::vector<int> fds() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fds_;
+  }
+  int64_t sends() const { return sends_.load(); }
+
+ private:
+  void Record(int fd) {
+    if (fd < 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    fds_.push_back(fd);
+  }
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool park_next_accept_ = false;
+  bool parked_ = false;
+  std::vector<int> fds_;
+  std::atomic<int64_t> sends_{0};
+};
+
+uint16_t LocalPort(int fd) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    return 0;
+  }
+  return ntohs(addr.sin_port);
+}
+
+int NoDelay(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) {
+    return -1;
+  }
+  return value;
+}
+
+// Guards against the ~40 ms Nagle/delayed-ACK floor coming back: every
+// socket the transport opens has TCP_NODELAY set.
+TEST(EpollTransportWritePathTest, NoDelayOnDialedAcceptedAndHttpSockets) {
+  ObservingSocketOps ops_a;
+  ObservingSocketOps ops_b;
+  EpollTransport::Options options_a;
+  options_a.socket_ops = &ops_a;
+  EpollTransport::Options options_b;
+  options_b.socket_ops = &ops_b;
+  EpollTransport a(std::move(options_a));
+  EpollTransport b(std::move(options_b));
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  ASSERT_TRUE(a.ListenPeer(0).ok());
+  ASSERT_TRUE(a.ListenHttp(0, EchoHandler()).ok());
+  RecordingNode node_a;
+  ASSERT_TRUE(a.RegisterNode("node-a", &node_a).ok());
+  b.AddPeer("node-a", "127.0.0.1", a.peer_port());
+
+  ASSERT_TRUE(b.Send(0, "node-b", "node-a", "t", "x").ok());
+  ASSERT_TRUE(node_a.WaitForCount(1));
+  RawClient client(a.http_port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.SendAll("GET /nodelay HTTP/1.1\r\nHost: x\r\n\r\n"));
+  ASSERT_NE(client.ReadUntil("echo:/nodelay", 1).find("echo:/nodelay"),
+            std::string::npos);
+
+  // `b` opened exactly one socket: the dialed peer link.
+  const std::vector<int> dialed = ops_b.fds();
+  ASSERT_EQ(dialed.size(), 1u);
+  EXPECT_EQ(NoDelay(dialed[0]), 1) << "dialed peer link";
+  // `a` accepted one peer link and one HTTP connection.
+  int peer_in = 0;
+  int http = 0;
+  for (const int fd : ops_a.fds()) {
+    if (LocalPort(fd) == a.peer_port()) {
+      ++peer_in;
+      EXPECT_EQ(NoDelay(fd), 1) << "accepted peer link";
+    } else if (LocalPort(fd) == a.http_port()) {
+      ++http;
+      EXPECT_EQ(NoDelay(fd), 1) << "accepted HTTP connection";
+    }
+  }
+  EXPECT_EQ(peer_in, 1);
+  EXPECT_EQ(http, 1);
+  a.Stop();
+  b.Stop();
+}
+
+// Frames queued before one flush leave in fewer sends than frames. The
+// loop is parked in Accept4 while the frames queue, so no flush can run
+// in between — no sleeps, no timing.
+TEST(EpollTransportWritePathTest, FramesQueuedBeforeAFlushShareSends) {
+  EpollTransport a;
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(a.ListenPeer(0).ok());
+  RecordingNode node_a;
+  ASSERT_TRUE(a.RegisterNode("node-a", &node_a).ok());
+  ObservingSocketOps ops_b;
+  EpollTransport::Options options_b;
+  options_b.socket_ops = &ops_b;
+  EpollTransport b(std::move(options_b));
+  ASSERT_TRUE(b.Start().ok());
+  ASSERT_TRUE(b.ListenPeer(0).ok());
+  b.AddPeer("node-a", "127.0.0.1", a.peer_port());
+  // Establish the link first, so the flush below is a plain one.
+  ASSERT_TRUE(b.Send(0, "node-b", "node-a", "seq", "warm-up").ok());
+  ASSERT_TRUE(node_a.WaitForCount(1));
+
+  ops_b.ParkNextAccept();
+  RawClient knock(b.peer_port());
+  ASSERT_TRUE(knock.connected());
+  const bool parked = ops_b.WaitParked();
+  if (!parked) ops_b.Release();
+  ASSERT_TRUE(parked);
+  // Non-fatal checks only until Release: the loop must not stay parked.
+  constexpr int kFrames = 32;
+  const int64_t before = ops_b.sends();
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_TRUE(b.Send(0, "node-b", "node-a", "seq", std::to_string(i)).ok());
+  }
+  EXPECT_EQ(ops_b.sends(), before);  // nothing left while parked
+  ops_b.Release();
+
+  ASSERT_TRUE(node_a.WaitForCount(1 + kFrames));
+  const std::vector<Message> messages = node_a.Messages();
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(messages[1 + i].payload, std::to_string(i)) << i;
+  }
+  EXPECT_LT(ops_b.sends() - before, kFrames);
+  a.Stop();
+  b.Stop();
 }
 
 // ---------------------------------------- containers over real sockets
