@@ -11,21 +11,23 @@ Reads the saved standard output of one perfbench run, e.g.
 The last line of that output is the result object
 ({"correct": ..., "metrics": {"remote_p99_ms": {"value": ...}}}).
 Without TCP_NODELAY on the transport's sockets the p99 sits at 35-40 ms;
-with it, single-digit milliseconds. The bound (default 25 ms) sits
-between the two, so runner noise does not trip it but the floor does.
-Exit code 0 = pass, 1 = bound exceeded or unusable output.
+with it, single-digit milliseconds. Exit code 0 = pass, 1 = bound
+exceeded or unusable output.
 """
 
 import argparse
 import json
 import sys
 
+# Sits between the 35-40 ms delayed-ACK floor and the ~7 ms p99 measured
+# with TCP_NODELAY (Xeon, 4 cores), so the floor trips it and a slower
+# machine still has margin.
+MAX_P99_MS = 25.0
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", help="saved stdout of perfbench/run.py")
-    parser.add_argument("--max-ms", type=float, default=25.0,
-                        help="upper bound on remote_p99_ms (default 25)")
     args = parser.parse_args()
 
     with open(args.output) as f:
@@ -43,11 +45,11 @@ def main():
     if not result.get("correct", False):
         print("FAIL: perfbench reported correct=false")
         return 1
-    if p99 >= args.max_ms:
-        print(f"FAIL: remote_p99_ms {p99:.2f} >= {args.max_ms:.2f} "
+    if p99 >= MAX_P99_MS:
+        print(f"FAIL: remote_p99_ms {p99:.2f} >= {MAX_P99_MS:.2f} "
               f"(the ~40 ms delayed-ACK floor is back?)")
         return 1
-    print(f"ok: remote_p99_ms {p99:.2f} < {args.max_ms:.2f}")
+    print(f"ok: remote_p99_ms {p99:.2f} < {MAX_P99_MS:.2f}")
     return 0
 
 
