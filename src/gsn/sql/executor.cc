@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "gsn/sql/parser.h"
@@ -669,9 +670,9 @@ struct ValueVectorLess {
   }
 };
 
-struct ValueLess {
-  bool operator()(const Value& a, const Value& b) const {
-    return a.Compare(b) < 0;
+struct ValuePtrLess {
+  bool operator()(const Value* a, const Value* b) const {
+    return a->Compare(*b) < 0;
   }
 };
 
@@ -688,63 +689,81 @@ Result<Value> ComputeAggregate(const Evaluator& eval, const Expr& agg,
   if (agg.children.size() != 1) {
     return Status::ExecutionError(fn + " takes exactly one argument");
   }
-  // Gather non-NULL argument values.
-  std::vector<Value> values;
+  // Gather non-NULL argument values. A plain column that resolves in
+  // the group's schema is read in place: no per-row name lookup and no
+  // copy. Anything else is evaluated per row into `computed`, reserved
+  // up front so the pointers into it stay valid.
+  const Expr& arg = *agg.children[0];
+  std::optional<size_t> column;
+  if (arg.kind == ExprKind::kColumnRef) {
+    const Result<size_t> idx =
+        ResolveColumn(schema, arg.qualifier, arg.column);
+    if (idx.ok()) column = *idx;
+  }
+  std::vector<Value> computed;
+  if (!column) computed.reserve(rows.size());
+  std::vector<const Value*> values;
   values.reserve(rows.size());
   for (const Relation::SharedRow& row : rows) {
-    RowBinding binding{&schema, row.get(), outer, nullptr};
-    GSN_ASSIGN_OR_RETURN(Value v, eval.Eval(*agg.children[0], binding));
-    if (!v.is_null()) values.push_back(std::move(v));
+    const Value* v = nullptr;
+    if (column) {
+      v = &(*row)[*column];
+    } else {
+      RowBinding binding{&schema, row.get(), outer, nullptr};
+      GSN_ASSIGN_OR_RETURN(Value out, eval.Eval(arg, binding));
+      v = &computed.emplace_back(std::move(out));
+    }
+    if (!v->is_null()) values.push_back(v);
   }
   if (agg.distinct) {
-    std::set<Value, ValueLess> uniq(values.begin(), values.end());
+    std::set<const Value*, ValuePtrLess> uniq(values.begin(), values.end());
     values.assign(uniq.begin(), uniq.end());
   }
   if (fn == "COUNT") return Value::Int(static_cast<int64_t>(values.size()));
   if (values.empty()) return Value::Null();
 
   if (fn == "MIN" || fn == "MAX") {
-    Value best = values[0];
+    const Value* best = values[0];
     for (size_t i = 1; i < values.size(); ++i) {
-      const int c = values[i].Compare(best);
+      const int c = values[i]->Compare(*best);
       if ((fn == "MIN" && c < 0) || (fn == "MAX" && c > 0)) best = values[i];
     }
-    return best;
+    return *best;
   }
   if (fn == "SUM") {
     bool all_int = true;
-    for (const Value& v : values) {
-      if (!v.is_int() && !v.is_bool()) {
+    for (const Value* v : values) {
+      if (!v->is_int() && !v->is_bool()) {
         all_int = false;
         break;
       }
     }
     if (all_int) {
       int64_t sum = 0;
-      for (const Value& v : values) {
-        GSN_ASSIGN_OR_RETURN(int64_t i, v.AsInt());
+      for (const Value* v : values) {
+        GSN_ASSIGN_OR_RETURN(int64_t i, v->AsInt());
         sum += i;
       }
       return Value::Int(sum);
     }
     double sum = 0;
-    for (const Value& v : values) {
-      GSN_ASSIGN_OR_RETURN(double d, v.AsDouble());
+    for (const Value* v : values) {
+      GSN_ASSIGN_OR_RETURN(double d, v->AsDouble());
       sum += d;
     }
     return Value::Double(sum);
   }
   if (fn == "AVG" || fn == "STDDEV" || fn == "VARIANCE") {
     double sum = 0;
-    for (const Value& v : values) {
-      GSN_ASSIGN_OR_RETURN(double d, v.AsDouble());
+    for (const Value* v : values) {
+      GSN_ASSIGN_OR_RETURN(double d, v->AsDouble());
       sum += d;
     }
     const double mean = sum / static_cast<double>(values.size());
     if (fn == "AVG") return Value::Double(mean);
     double sq = 0;
-    for (const Value& v : values) {
-      GSN_ASSIGN_OR_RETURN(double d, v.AsDouble());
+    for (const Value* v : values) {
+      GSN_ASSIGN_OR_RETURN(double d, v->AsDouble());
       sq += (d - mean) * (d - mean);
     }
     // Sample variance (n-1), matching MySQL's STDDEV_SAMP family used
@@ -1354,7 +1373,7 @@ Result<CoreResult> ExecuteCore(const TableResolver* resolver,
     // Group rows.
     std::map<std::vector<Value>, Relation::RowList, ValueVectorLess> groups;
     if (stmt.group_by.empty()) {
-      groups[{}] = rows;  // single group (possibly empty)
+      groups[{}] = std::move(rows);  // single group (possibly empty)
     } else {
       for (const Relation::SharedRow& row : rows) {
         RowBinding binding{&in_schema, row.get(), outer, nullptr};

@@ -179,6 +179,7 @@ Relation Table::ScanUnified(const columnar::SegmentCatalog* catalog,
     stats->pending_rows += static_cast<int64_t>(pending_evicted_.size());
     stats->memory_rows += static_cast<int64_t>(rows_.size());
   }
+  rows.reserve(rows.size() + pending_evicted_.size() + rows_.size());
   rows.insert(rows.end(), pending_evicted_.begin(), pending_evicted_.end());
   for (const Entry& e : rows_) rows.push_back(e.row);
   return Relation(row_schema_, std::move(rows));

@@ -129,6 +129,36 @@ TEST_F(ExecutorTest, AggregateFunctions) {
   EXPECT_DOUBLE_EQ(r.rows()[0][5].double_value(), 100.0);
 }
 
+TEST_F(ExecutorTest, AggregateArgumentsColumnsExpressionsAndOuterRefs) {
+  // A plain column (qualified here, NULL-padded by the left join), a
+  // computed argument and DISTINCT aggregate alike.
+  Relation r = MustQuery(
+      "select count(n.location), max(n.location), min(r.temp), "
+      "sum(r.temp * 2), count(distinct r.node) from readings r "
+      "left join nodes n on r.node = n.node");
+  ASSERT_EQ(r.NumRows(), 1u);
+  EXPECT_EQ(r.rows()[0][0], Value::Int(4));
+  EXPECT_EQ(r.rows()[0][1], Value::String("bc144"));
+  EXPECT_EQ(r.rows()[0][2], Value::Int(18));
+  EXPECT_EQ(r.rows()[0][3], Value::Int(232));
+  EXPECT_EQ(r.rows()[0][4], Value::Int(3));
+
+  // A column only the outer query binds is read from the outer row.
+  Relation outer = MustQuery(
+      "select n.node, (select max(n.node) from readings r "
+      "where r.node = n.node) as m from nodes n order by n.node");
+  ASSERT_EQ(outer.NumRows(), 3u);
+  EXPECT_EQ(outer.rows()[0][1], Value::Int(1));
+  EXPECT_EQ(outer.rows()[1][1], Value::Int(2));
+  EXPECT_TRUE(outer.rows()[2][1].is_null());
+
+  // An ambiguous argument is still an error.
+  EXPECT_FALSE(
+      exec_.Query("select max(node) from readings r join nodes n "
+                  "on r.node = n.node")
+          .ok());
+}
+
 TEST_F(ExecutorTest, CountDistinct) {
   Relation r = MustQuery("select count(distinct type) from readings");
   EXPECT_EQ(r.rows()[0][0], Value::Int(3));
