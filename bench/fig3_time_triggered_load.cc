@@ -62,7 +62,7 @@ struct CellResult {
   double mean_ms = 0;
   double p95_ms = 0;
   long elements = 0;
-  /// Scheduling-profiler columns (docs/TELEMETRY.md): wall time spent
+  /// Scheduling columns (docs/TELEMETRY.md): wall time spent
   /// blocked on instrumented locks / queued at admission, as a share
   /// of total tick time. The evidence base for ROADMAP item 1.
   double lock_wait_share = 0;

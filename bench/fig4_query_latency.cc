@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     int clients = 0;
     double totals_ms[3] = {0.0, 0.0, 0.0};
     double p95_ms = 0.0;
-    /// Contention-profiler columns (docs/TELEMETRY.md): wall time the
+    /// Contention columns (docs/TELEMETRY.md): wall time the
     /// untraced batch spent blocked on the instrumented query-cache
     /// lock / queued at admission. This bench drives one thread with
     /// no stream sources, so both stay ~0 — the columns exist so the

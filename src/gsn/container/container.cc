@@ -113,17 +113,14 @@ Container::Container(Options options)
                                         "Container Tick() wall time");
   const char* phase_help =
       "Per-tick latency breakdown by scheduling phase (resilience / "
-      "dispatch / supervise / checkpoint) plus the pool-thread storage "
-      "and fan-out spans";
+      "dispatch / checkpoint) plus the pool-thread storage and fan-out "
+      "spans";
   tick_phase_resilience_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "resilience"}}, phase_help);
   tick_phase_dispatch_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "dispatch"}}, phase_help);
-  tick_phase_supervise_ = metrics_->GetHistogram(
-      "gsn_tick_phase_micros",
-      {{"node", options_.node_id}, {"phase", "supervise"}}, phase_help);
   tick_phase_checkpoint_ = metrics_->GetHistogram(
       "gsn_tick_phase_micros",
       {{"node", options_.node_id}, {"phase", "checkpoint"}}, phase_help);
@@ -832,15 +829,16 @@ constexpr Timestamp kAnnounceInterval = 5 * kMicrosPerSecond;
 }  // namespace
 
 Result<int> Container::Tick() {
-  telemetry::Profiler::Scope tick_span(&profiler_, "tick", tick_micros_.get());
+  telemetry::Span tick_span(tracer_, "tick", TraceContext(),
+                            tick_micros_.get());
   const Timestamp now = options_.clock->NowMicros();
   uptime_gauge_->Set(
       (telemetry::SteadyClock::Instance()->NowMicros() - started_steady_micros_) /
       kMicrosPerSecond);
 
   {
-    telemetry::Profiler::Scope phase(&profiler_, "tick.resilience",
-                                     tick_phase_resilience_.get());
+    telemetry::Span phase(tracer_, "tick.resilience", TraceContext(),
+                          tick_phase_resilience_.get());
     // Periodic directory re-announcement: lost publish messages heal.
     bool announce = false;
     {
@@ -864,8 +862,8 @@ Result<int> Container::Tick() {
   // without a global tick mutex: per-sensor exclusivity comes from the
   // busy flag, so a sensor another round is still draining is simply
   // skipped by this one.
-  telemetry::Profiler::Scope dispatch_phase(&profiler_, "tick.dispatch",
-                                            tick_phase_dispatch_.get());
+  telemetry::Span dispatch_phase(tracer_, "tick.dispatch", TraceContext(),
+                                 tick_phase_dispatch_.get());
   int produced = 0;
   if (tick_pool_ == nullptr || shards_.size() == 1) {
     for (auto& shard : shards_) produced += TickShard(*shard, now);
@@ -896,7 +894,7 @@ Result<int> Container::Tick() {
     done_cv.wait(lock, [&] { return pending == 0; });
     produced = total.load(std::memory_order_relaxed);
   }
-  dispatch_phase.Stop();
+  dispatch_phase.Finish();
 
   // Periodic checkpoint: bound the manifest and every WAL (and with
   // them, the next recovery) to the live state. try_lock keeps the
@@ -907,8 +905,8 @@ Result<int> Container::Tick() {
     std::unique_lock<std::mutex> cp_lock(checkpoint_mu_, std::try_to_lock);
     if (cp_lock.owns_lock() &&
         now - last_checkpoint_ >= options_.supervision.checkpoint_interval) {
-      telemetry::Profiler::Scope phase(&profiler_, "tick.checkpoint",
-                                       tick_phase_checkpoint_.get());
+      telemetry::Span phase(tracer_, "tick.checkpoint", TraceContext(),
+                            tick_phase_checkpoint_.get());
       last_checkpoint_ = now;
       const Status s = Checkpoint();
       if (!s.ok()) {
@@ -1419,7 +1417,25 @@ Container::ContainerStatus Container::GetStatus() const {
   status.locks.push_back(lock_stats(fed_mu_));
   status.locks.push_back(lock_stats(chain_mu_));
   status.locks.push_back(lock_stats(query_manager_.cache_lock()));
-  status.hot_spans = profiler_.TopSpans(10);
+  // Hot spans are read off the tick/batch histograms the spans above
+  // observe into: one measurement, two views.
+  const std::pair<const char*, const telemetry::Histogram*> hot[] = {
+      {"tick", tick_micros_.get()},
+      {"tick.resilience", tick_phase_resilience_.get()},
+      {"tick.dispatch", tick_phase_dispatch_.get()},
+      {"tick.checkpoint", tick_phase_checkpoint_.get()},
+      {"batch.storage", batch_storage_micros_.get()},
+      {"batch.fanout", batch_fanout_micros_.get()}};
+  for (const auto& [span_name, histogram] : hot) {
+    const telemetry::Histogram::Snapshot snapshot = histogram->TakeSnapshot();
+    if (snapshot.count == 0) continue;
+    status.hot_spans.push_back(
+        {span_name, snapshot.count, snapshot.sum, snapshot.max});
+  }
+  std::stable_sort(status.hot_spans.begin(), status.hot_spans.end(),
+                   [](const HotSpan& a, const HotSpan& b) {
+                     return a.total_micros > b.total_micros;
+                   });
   status.recovered_records = recovered_records_;
   status.recovery_failures = recovery_failures_;
   return status;
@@ -1438,8 +1454,8 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
   // Keeping insert + append atomic also means a checkpoint snapshot
   // always covers exactly the batches appended before it.
   std::vector<Outbound> remote_sends;
-  telemetry::Profiler::Scope storage_span(&profiler_, "batch.storage",
-                                          batch_storage_micros_.get());
+  telemetry::Span storage_span(tracer_, "batch.storage", TraceContext(),
+                               batch_storage_micros_.get());
   {
     const std::string key = StrToLower(name);
     Shard& shard = ShardFor(key);
@@ -1505,7 +1521,7 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
       }
     }
   }
-  storage_span.Stop();
+  storage_span.Finish();
 
   // Local chaining: feed consumers deployed on this container.
   // chain_mu_ is held ACROSS PushBatch — Undeploy detaches a dying
@@ -1514,8 +1530,8 @@ void Container::OnSensorBatch(const VirtualSensor& sensor,
   // takes the wrapper's own queue lock (a leaf), so this cannot
   // deadlock, and producers on other shards fan out concurrently only
   // contending here.
-  telemetry::Profiler::Scope fanout_span(&profiler_, "batch.fanout",
-                                         batch_fanout_micros_.get());
+  telemetry::Span fanout_span(tracer_, "batch.fanout", TraceContext(),
+                              batch_fanout_micros_.get());
   {
     std::lock_guard<telemetry::TimedMutex> lock(chain_mu_);
     auto range = local_wrappers_.equal_range(StrToLower(name));

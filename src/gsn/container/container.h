@@ -94,8 +94,9 @@ class Container : public network::NetworkNode {
     /// Tracer shared by the whole tuple path (sources, sensors,
     /// notifications, query manager, remote delivery). A federation
     /// injects one tracer into all its nodes so cross-container traces
-    /// land in one store. Null = the container owns a private tracer —
-    /// see tracer(). Sampling starts off (rate 0); enable via
+    /// land in one store. Its clock also times every latency histogram
+    /// of that path and of the tick. Null = the container owns a private
+    /// tracer — see tracer(). Sampling starts off (rate 0); enable via
     /// tracer()->set_sample_rate or the `trace` management command.
     telemetry::Tracer* tracer = nullptr;
     /// Knobs of the federation resilience layer (docs/FEDERATION.md).
@@ -348,6 +349,15 @@ class Container : public network::NetworkNode {
     int64_t wait_micros = 0;
   };
 
+  /// One timed region of the tick or batch path, read off its
+  /// histogram (`gsn_tick_micros` / `gsn_tick_phase_micros`).
+  struct HotSpan {
+    std::string name;
+    int64_t count = 0;
+    int64_t total_micros = 0;
+    int64_t max_micros = 0;
+  };
+
   /// Per-shard view of the sharded core: population, drain work, and
   /// the shard lock's contention profile — makes hot shards
   /// attributable from /api/v1/status and the `status` command.
@@ -378,7 +388,9 @@ class Container : public network::NetworkNode {
     std::vector<ShardStatus> shards;
     std::vector<PeerStatus> peers;
     std::vector<LockStats> locks;
-    std::vector<telemetry::Profiler::SpanStats> hot_spans;
+    /// The tick/batch spans with any observations, by total time
+    /// descending.
+    std::vector<HotSpan> hot_spans;
     size_t recovered_records = 0;
     size_t recovery_failures = 0;
   };
@@ -389,10 +401,6 @@ class Container : public network::NetworkNode {
   /// the container or tick locks — so a virtual sensor deployed over
   /// its own container's metrics cannot deadlock or self-amplify.
   wrappers::SystemSnapshot SystemSnapshotNow() const;
-
-  /// The container's always-on span profiler (tick phases, storage and
-  /// fan-out spans); TopSpans() feeds the status surface.
-  const telemetry::Profiler& profiler() const { return profiler_; }
 
   /// The transport this container is attached to (null when
   /// standalone). `AsSimulator()` gates the simulator-only chaos
@@ -754,12 +762,11 @@ class Container : public network::NetworkNode {
   std::shared_ptr<telemetry::Gauge> recovery_seconds_gauge_;
 
   // -- Self-observation (docs/TELEMETRY.md) ---------------------------------
-  /// Tick-phase breakdown + batch storage/fan-out spans, always on.
-  telemetry::Profiler profiler_;
+  /// Tick-phase breakdown + batch storage/fan-out spans, always on;
+  /// GetStatus() derives the hot spans from these.
   std::shared_ptr<telemetry::Histogram> tick_micros_;
   std::shared_ptr<telemetry::Histogram> tick_phase_resilience_;
   std::shared_ptr<telemetry::Histogram> tick_phase_dispatch_;
-  std::shared_ptr<telemetry::Histogram> tick_phase_supervise_;
   std::shared_ptr<telemetry::Histogram> tick_phase_checkpoint_;
   std::shared_ptr<telemetry::Histogram> batch_storage_micros_;
   std::shared_ptr<telemetry::Histogram> batch_fanout_micros_;

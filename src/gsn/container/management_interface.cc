@@ -207,7 +207,7 @@ std::string ManagementInterface::CmdContainerStatus() const {
        << "us\n";
   }
   os << "hot spans:\n";
-  for (const telemetry::Profiler::SpanStats& span : status.hot_spans) {
+  for (const Container::HotSpan& span : status.hot_spans) {
     os << "  " << span.name << "  count=" << span.count << "  total="
        << span.total_micros << "us  max=" << span.max_micros << "us\n";
   }

@@ -139,10 +139,9 @@ int NotificationManager::OnBatch(const std::string& sensor_name,
 
   int delivered = 0;
   for (const StreamElement& element : batch) {
-    telemetry::Span trace_span(tracer_, "notify.fanout", element.trace);
+    telemetry::Span trace_span(tracer_, "notify.fanout", element.trace,
+                               fanout_micros_.get());
     trace_span.set_sensor(sensor_name);
-    telemetry::SpanTimer fanout_span(telemetry::SteadyClock::Instance(),
-                                     fanout_micros_.get());
 
     // One-row relation exposing the element (and its timestamp) to the
     // condition expressions.

@@ -115,13 +115,11 @@ class QueryManager {
   std::vector<SlowQueryEntry> slow_log() const;
 
   /// Roots a "query.execute" span per one-shot execution in `tracer`
-  /// (and "query.continuous" children for repository runs). Null
-  /// detaches. The tracer must outlive this manager.
+  /// (and "query.continuous" children for repository runs). The
+  /// tracer's clock times every parse/exec span (steady wall clock
+  /// without a tracer). Null detaches. The tracer must outlive this
+  /// manager.
   void set_tracer(telemetry::Tracer* tracer);
-
-  /// Clock for the parse/exec span timers (default: steady wall clock).
-  /// Tests inject a VirtualClock for deterministic latencies.
-  void set_span_clock(const Clock* span_clock);
 
   /// Collects base table names referenced anywhere in a statement
   /// (FROM items, joins, subqueries, set-op branches). Used by the
@@ -191,7 +189,6 @@ class QueryManager {
   /// Private registry when none was injected.
   std::unique_ptr<telemetry::MetricRegistry> owned_metrics_;
   QueryMetrics metrics_;
-  std::atomic<const Clock*> span_clock_;
   std::atomic<int64_t> slow_query_micros_{0};
   std::atomic<telemetry::Tracer*> tracer_{nullptr};
 

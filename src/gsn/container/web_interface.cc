@@ -548,7 +548,7 @@ HttpResponse WebInterface::HandleStatus() {
   }
   json += "],\"hot_spans\":[";
   first = true;
-  for (const telemetry::Profiler::SpanStats& span : status.hot_spans) {
+  for (const Container::HotSpan& span : status.hot_spans) {
     if (!first) json += ",";
     first = false;
     json += "{\"name\":" + JsonEscape(span.name) +

@@ -195,50 +195,18 @@ class MetricRegistry {
 };
 
 // ---------------------------------------------------------------------------
-// Span timing
+// Timing clock
 // ---------------------------------------------------------------------------
 
 /// Monotonic wall clock (std::chrono::steady_clock) behind the Clock
-/// interface, for spans that measure real elapsed time even when the
-/// surrounding container runs on a VirtualClock (Fig 3 measures real
-/// in-container processing cost under virtual stream time).
+/// interface, for spans (telemetry::Span, tracing.h) that measure real
+/// elapsed time even when the surrounding container runs on a
+/// VirtualClock (Fig 3 measures real in-container processing cost under
+/// virtual stream time).
 class SteadyClock : public Clock {
  public:
   Timestamp NowMicros() const override;
   static const SteadyClock* Instance();
-};
-
-/// RAII span: records clock->NowMicros() deltas into a histogram on
-/// destruction (or at Stop()). Null histogram disables the span, so
-/// instrumentation points cost one branch when telemetry is off.
-/// Injecting a VirtualClock makes span durations fully deterministic in
-/// tests: advance the clock inside the span and the histogram observes
-/// exactly that delta.
-class SpanTimer {
- public:
-  SpanTimer(const Clock* clock, Histogram* histogram)
-      : clock_(clock),
-        histogram_(histogram),
-        start_(histogram != nullptr ? clock->NowMicros() : 0) {}
-  ~SpanTimer() { Stop(); }
-
-  SpanTimer(const SpanTimer&) = delete;
-  SpanTimer& operator=(const SpanTimer&) = delete;
-
-  /// Records now, disarms, and returns the elapsed micros (0 if
-  /// disabled or already stopped).
-  int64_t Stop() {
-    if (histogram_ == nullptr) return 0;
-    const int64_t elapsed = clock_->NowMicros() - start_;
-    histogram_->Observe(elapsed);
-    histogram_ = nullptr;
-    return elapsed;
-  }
-
- private:
-  const Clock* clock_;
-  Histogram* histogram_;
-  int64_t start_;
 };
 
 }  // namespace gsn::telemetry

@@ -1,6 +1,5 @@
 #include "gsn/telemetry/profiler.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include <sys/resource.h>
@@ -22,39 +21,6 @@ void TimedMutex::Instrument(MetricRegistry* registry, const std::string& name,
   contended_ = registry->GetCounter(
       "gsn_lock_contended_total", labels,
       "Acquisitions that found the lock held and had to wait");
-}
-
-void Profiler::Record(const std::string& name, int64_t micros) {
-  if (micros < 0) micros = 0;
-  const int64_t weight = sample_period_;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = spans_.find(name);
-  if (it == spans_.end()) {
-    if (spans_.size() >= kMaxSpanNames) {
-      it = spans_.emplace("<other>", Agg{}).first;
-    } else {
-      it = spans_.emplace(name, Agg{}).first;
-    }
-  }
-  it->second.count += weight;
-  it->second.total_micros += micros * weight;
-  it->second.max_micros = std::max(it->second.max_micros, micros);
-}
-
-std::vector<Profiler::SpanStats> Profiler::TopSpans(size_t n) const {
-  std::vector<SpanStats> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.reserve(spans_.size());
-    for (const auto& [name, agg] : spans_) {
-      out.push_back({name, agg.count, agg.total_micros, agg.max_micros});
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const SpanStats& a, const SpanStats& b) {
-    return a.total_micros > b.total_micros;
-  });
-  if (out.size() > n) out.resize(n);
-  return out;
 }
 
 ProcessStats ReadProcessStats() {

@@ -143,20 +143,25 @@ double Tracer::sample_rate() const {
 // Span
 // ---------------------------------------------------------------------------
 
-Span::Span(Tracer* tracer, std::string_view name) {
-  if (tracer == nullptr) return;
-  TraceContext ctx = tracer->StartTrace();
-  if (!ctx.valid()) return;
-  Open(tracer, name, ctx, /*parent_span_id=*/0);
+Span::Span(Tracer* tracer, std::string_view name, Histogram* histogram) {
+  Open(tracer, name, tracer != nullptr ? tracer->StartTrace() : TraceContext(),
+       /*parent_span_id=*/0, histogram);
 }
 
-Span::Span(Tracer* tracer, std::string_view name, const TraceContext& parent) {
-  if (tracer == nullptr || !parent.valid()) return;
-  Open(tracer, name, tracer->ChildOf(parent), parent.span_id);
+Span::Span(Tracer* tracer, std::string_view name, const TraceContext& parent,
+           Histogram* histogram) {
+  Open(tracer, name,
+       tracer != nullptr ? tracer->ChildOf(parent) : TraceContext(),
+       parent.span_id, histogram);
 }
 
 void Span::Open(Tracer* tracer, std::string_view name, TraceContext ctx,
-                uint64_t parent_span_id) {
+                uint64_t parent_span_id, Histogram* histogram) {
+  if (!ctx.valid() && histogram == nullptr) return;  // inert
+  histogram_ = histogram;
+  clock_ = tracer != nullptr ? tracer->clock() : SteadyClock::Instance();
+  record_.start_micros = clock_->NowMicros();
+  if (!ctx.valid()) return;
   tracer_ = tracer;
   ctx_ = ctx;
   record_.trace_hi = ctx.trace_hi;
@@ -164,38 +169,11 @@ void Span::Open(Tracer* tracer, std::string_view name, TraceContext ctx,
   record_.span_id = ctx.span_id;
   record_.parent_span_id = parent_span_id;
   record_.name.assign(name.data(), name.size());
-  record_.start_micros = tracer->clock()->NowMicros();
   if (ctx_.sampled) {
     saved_thread_ctx_ = ThreadTraceContext();
     SetThreadTraceContext(ctx_);
     bound_thread_ = true;
   }
-}
-
-Span::~Span() { Finish(); }
-
-Span::Span(Span&& other) noexcept
-    : tracer_(other.tracer_),
-      ctx_(other.ctx_),
-      record_(std::move(other.record_)),
-      saved_thread_ctx_(other.saved_thread_ctx_),
-      bound_thread_(other.bound_thread_) {
-  other.tracer_ = nullptr;
-  other.bound_thread_ = false;
-}
-
-Span& Span::operator=(Span&& other) noexcept {
-  if (this != &other) {
-    Finish();
-    tracer_ = other.tracer_;
-    ctx_ = other.ctx_;
-    record_ = std::move(other.record_);
-    saved_thread_ctx_ = other.saved_thread_ctx_;
-    bound_thread_ = other.bound_thread_;
-    other.tracer_ = nullptr;
-    other.bound_thread_ = false;
-  }
-  return *this;
 }
 
 void Span::set_sensor(std::string_view sensor) {
@@ -210,22 +188,29 @@ void Span::set_error() {
   if (tracer_ != nullptr) record_.error = true;
 }
 
-void Span::Finish() {
-  if (tracer_ == nullptr) return;
+Span::~Span() {
+  Finish();
   if (bound_thread_) {
     if (saved_thread_ctx_.valid()) {
       SetThreadTraceContext(saved_thread_ctx_);
     } else {
       ClearThreadTraceContext();
     }
-    bound_thread_ = false;
   }
-  record_.duration_micros =
-      tracer_->clock()->NowMicros() - record_.start_micros;
+}
+
+int64_t Span::Finish() {
+  if (clock_ == nullptr) return 0;
+  const int64_t elapsed = clock_->NowMicros() - record_.start_micros;
+  clock_ = nullptr;
+  if (histogram_ != nullptr) histogram_->Observe(elapsed);
+  if (tracer_ == nullptr) return elapsed;
+  record_.duration_micros = elapsed;
   if (ctx_.sampled || record_.error) {
     tracer_->store().Record(std::move(record_));
   }
   tracer_ = nullptr;
+  return elapsed;
 }
 
 // ---------------------------------------------------------------------------

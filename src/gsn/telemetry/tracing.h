@@ -90,7 +90,10 @@ class Tracer {
     /// Seed for id generation and the sampling coin; fixed seed + a
     /// single-threaded workload = fully reproducible ids.
     uint64_t seed = 0x6773'6e74'7261'6365;  // "gsntrace"
-    /// Span timestamps/durations. Null = monotonic SteadyClock.
+    /// The clock every Span opened through this tracer reads, for its
+    /// histogram observation and its trace record alike; the one place
+    /// a test injects a clock into a scope. Null = monotonic
+    /// SteadyClock.
     const Clock* clock = nullptr;
   };
 
@@ -125,26 +128,34 @@ class Tracer {
   std::atomic<uint64_t> counter_{0};
 };
 
-/// RAII span. Opens at construction, records into the tracer's store at
-/// Finish()/destruction iff its context is valid and either sampled or
-/// flagged as an error. While a sampled span is open it binds the
-/// thread-local trace context so GSN_LOG lines carry `trace=<id>`
-/// (restored on finish). Default-constructed spans are inert, as are
-/// spans built from a null tracer or an invalid parent — instrumentation
-/// points need no guards.
+/// The one RAII timing scope. It reads its clock once when it opens and
+/// once when it finishes, and that one measurement feeds both sinks:
+///  - `histogram` (optional) observes the elapsed micros on every
+///    finish — the `gsn_*` latency families and the status surface's
+///    hot spans read these;
+///  - the tracer's store records the span iff its context is valid and
+///    either sampled or flagged as an error.
+/// The clock is the tracer's (Tracer::Options::clock), or SteadyClock
+/// without a tracer. A sampled span binds the thread-local trace
+/// context until it goes out of scope, so GSN_LOG lines carry
+/// `trace=<id>` — also the ones written after an early Finish(), such
+/// as the slow-query warning. A scope with neither a histogram nor a
+/// valid trace context is inert and reads no clock — default-constructed
+/// spans, a null tracer, an invalid parent — so instrumentation points
+/// need no guards.
 class Span {
  public:
   Span() = default;
   /// Roots a new trace (see Tracer::StartTrace).
-  Span(Tracer* tracer, std::string_view name);
-  /// Child span continuing `parent`; inert when parent is invalid.
-  Span(Tracer* tracer, std::string_view name, const TraceContext& parent);
+  Span(Tracer* tracer, std::string_view name, Histogram* histogram = nullptr);
+  /// Child span continuing `parent`; traces nothing when the parent is
+  /// invalid (pass `TraceContext()` for a histogram-only scope).
+  Span(Tracer* tracer, std::string_view name, const TraceContext& parent,
+       Histogram* histogram = nullptr);
   ~Span();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-  Span(Span&& other) noexcept;
-  Span& operator=(Span&& other) noexcept;
 
   void set_sensor(std::string_view sensor);
   void set_node(std::string_view node);
@@ -155,16 +166,19 @@ class Span {
   /// This span's context — pass to children / stamp onto elements.
   const TraceContext& context() const { return ctx_; }
   /// True when the span will consider recording (valid context).
-  bool active() const { return tracer_ != nullptr && ctx_.valid(); }
+  bool active() const { return tracer_ != nullptr; }
 
-  /// Ends the span (idempotent).
-  void Finish();
+  /// Ends the span and returns its elapsed micros; 0 when inert or
+  /// already finished (idempotent).
+  int64_t Finish();
 
  private:
   void Open(Tracer* tracer, std::string_view name, TraceContext ctx,
-            uint64_t parent_span_id);
+            uint64_t parent_span_id, Histogram* histogram);
 
-  Tracer* tracer_ = nullptr;
+  Tracer* tracer_ = nullptr;  ///< non-null only while a trace is open
+  Histogram* histogram_ = nullptr;
+  const Clock* clock_ = nullptr;  ///< non-null while the scope is timing
   TraceContext ctx_;
   SpanRecord record_;
   TraceContext saved_thread_ctx_;

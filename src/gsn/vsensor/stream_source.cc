@@ -73,10 +73,10 @@ Result<int> StreamSource::PumpLocked(
     return 0;
   }
   lock->unlock();
-  telemetry::SpanTimer poll_span(telemetry::SteadyClock::Instance(),
-                                 poll_micros_.get());
+  telemetry::Span poll_span(tracer_, "wrapper.poll", TraceContext(),
+                            poll_micros_.get());
   Result<std::vector<StreamElement>> produced = wrapper_->Poll(now);
-  poll_span.Stop();
+  poll_span.Finish();
   lock->lock();
   if (!produced.ok()) return produced.status();
   produced_total_->Increment(static_cast<int64_t>(produced->size()));

@@ -42,6 +42,8 @@ class StreamSource {
   /// context: a fresh root trace ("wrapper.produce") for untraced
   /// elements, or a "source.admit" child span when the element already
   /// carries one (remote deliveries continuing the producer's trace).
+  /// The poll-loop histogram is timed on the tracer's clock (steady
+  /// wall clock without a tracer).
   StreamSource(StreamSourceSpec spec, std::unique_ptr<wrappers::Wrapper> wrapper,
                uint64_t seed, telemetry::MetricRegistry* metrics = nullptr,
                telemetry::Tracer* tracer = nullptr, std::string node = "");

@@ -13,8 +13,7 @@ VirtualSensor::VirtualSensor(
     : spec_(std::move(spec)),
       clock_(std::move(clock)),
       tracer_(tracer),
-      node_(std::move(node)),
-      span_clock_(telemetry::SteadyClock::Instance()) {
+      node_(std::move(node)) {
   telemetry::MetricRegistry* registry = metrics;
   if (registry == nullptr) {
     owned_metrics_ = std::make_unique<telemetry::MetricRegistry>();
@@ -200,34 +199,31 @@ Result<int> VirtualSensor::Tick(Timestamp now) {
     metrics_.batch_size->Observe(
         static_cast<int64_t>(trigger_elements.size()));
 
-    telemetry::Span pipeline(tracer_, "vsensor.pipeline", trigger_ctx);
+    telemetry::Span pipeline(tracer_, "vsensor.pipeline", trigger_ctx,
+                             metrics_.processing.get());
     pipeline.set_sensor(spec_.name);
     pipeline.set_node(node_);
-    telemetry::SpanTimer span(span_clock_, metrics_.processing.get());
     Result<int> n = ProcessStream(&stream, now, pipeline.context());
-    metrics_.last_processing->Set(span.Stop());
+    if (!n.ok()) pipeline.set_error();
+    metrics_.last_processing->Set(pipeline.Finish());
     metrics_.triggers->Increment();
-    if (!n.ok()) {
-      metrics_.errors->Increment();
-      pipeline.set_error();
-    } else {
+    if (n.ok()) {
       metrics_.tuples->Increment(*n);
-    }
-    if (!n.ok()) {
-      GSN_LOG(kWarn, "vsensor")
-          << "'" << spec_.name << "' stream '" << stream.spec->name
-          << "' failed: " << n.status().ToString();
-      ErrorListener on_error;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        on_error = error_listener_;
-      }
-      if (on_error) {
-        on_error(*this, stream.spec->name, n.status(), trigger_elements);
-      }
+      produced += *n;
       continue;
     }
-    produced += *n;
+    metrics_.errors->Increment();
+    GSN_LOG(kWarn, "vsensor")
+        << "'" << spec_.name << "' stream '" << stream.spec->name
+        << "' failed: " << n.status().ToString();
+    ErrorListener on_error;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      on_error = error_listener_;
+    }
+    if (on_error) {
+      on_error(*this, stream.spec->name, n.status(), trigger_elements);
+    }
   }
   return produced;
 }
@@ -243,10 +239,10 @@ Result<int> VirtualSensor::ProcessStream(StreamRuntime* stream, Timestamp now,
   // relations named by alias.
   sql::MapResolver temp_relations;
   {
-    telemetry::Span stage(tracer_, "vsensor.window_sql", trace);
+    telemetry::Span stage(tracer_, "vsensor.window_sql", trace,
+                          metrics_.stage_window.get());
     stage.set_sensor(spec_.name);
     stage.set_node(node_);
-    telemetry::SpanTimer span(span_clock_, metrics_.stage_window.get());
     for (size_t i = 0; i < stream->sources.size(); ++i) {
       StreamSource* source = stream->sources[i].get();
       sql::MapResolver wrapper_relation;
@@ -265,10 +261,10 @@ Result<int> VirtualSensor::ProcessStream(StreamRuntime* stream, Timestamp now,
   // Step 4: the input stream query over the temporaries.
   sql::Executor stream_exec(&temp_relations);
   Result<Relation> result_or = [&]() -> Result<Relation> {
-    telemetry::Span stage(tracer_, "vsensor.stream_sql", trace);
+    telemetry::Span stage(tracer_, "vsensor.stream_sql", trace,
+                          metrics_.stage_stream_sql.get());
     stage.set_sensor(spec_.name);
     stage.set_node(node_);
-    telemetry::SpanTimer span(span_clock_, metrics_.stage_stream_sql.get());
     Result<Relation> r = stream_exec.Execute(*stream->query);
     if (!r.ok()) stage.set_error();
     return r;
@@ -289,10 +285,10 @@ Result<int> VirtualSensor::ProcessStream(StreamRuntime* stream, Timestamp now,
   }
 
   // Step 5 span: output mapping plus listener fan-out.
-  telemetry::Span deliver_stage(tracer_, "vsensor.deliver", trace);
+  telemetry::Span deliver_stage(tracer_, "vsensor.deliver", trace,
+                                metrics_.stage_deliver.get());
   deliver_stage.set_sensor(spec_.name);
   deliver_stage.set_node(node_);
-  telemetry::SpanTimer deliver_span(span_clock_, metrics_.stage_deliver.get());
   std::vector<StreamElement> outputs;
   outputs.reserve(result.NumRows());
   for (const Relation::Row& row : result.rows()) {

@@ -63,7 +63,9 @@ class VirtualSensor {
   /// A non-null `tracer` makes every trigger whose admitted elements
   /// carry a trace context run under a "vsensor.pipeline" span (child
   /// of the triggering element's span), with per-stage child spans and
-  /// the pipeline context stamped onto every output element.
+  /// the pipeline context stamped onto every output element. The same
+  /// scopes time the per-sensor latency histograms, on the tracer's
+  /// clock (steady wall clock without a tracer).
   VirtualSensor(VirtualSensorSpec spec,
                 std::vector<std::vector<std::unique_ptr<StreamSource>>> sources,
                 std::shared_ptr<Clock> clock,
@@ -136,11 +138,6 @@ class VirtualSensor {
     return metrics_.processing->TakeSnapshot();
   }
 
-  /// Clock used by the processing span timers. Defaults to the steady
-  /// wall clock so Fig 3 measures real cost under virtual stream time;
-  /// tests inject a VirtualClock to make span durations deterministic.
-  void set_span_clock(const Clock* span_clock) { span_clock_ = span_clock; }
-
  private:
   struct StreamRuntime {
     const InputStreamSpec* spec;
@@ -189,7 +186,6 @@ class VirtualSensor {
   /// tests keep per-instance stats).
   std::unique_ptr<telemetry::MetricRegistry> owned_metrics_;
   SensorMetrics metrics_;
-  const Clock* span_clock_;
 
   mutable std::mutex mu_;
   std::vector<OutputListener> listeners_;

@@ -107,7 +107,7 @@ TEST_F(ContainerStatusSurfaceTest, GetStatusJoinsSubsystems) {
   ASSERT_FALSE(status.hot_spans.empty());
   EXPECT_TRUE(std::any_of(
       status.hot_spans.begin(), status.hot_spans.end(),
-      [](const telemetry::Profiler::SpanStats& s) { return s.name == "tick"; }));
+      [](const Container::HotSpan& s) { return s.name == "tick"; }));
 }
 
 TEST_F(ContainerStatusSurfaceTest, WebStatusEndpointReturnsUnifiedJson) {

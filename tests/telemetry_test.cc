@@ -1,5 +1,5 @@
 // Tests for the telemetry subsystem: metric primitives, the registry,
-// span timing, Prometheus exposition, and the end-to-end path from a
+// the Span timing scope, Prometheus exposition, and the end-to-end path from a
 // deployed sensor's pipeline to GET /metrics.
 
 #include <gtest/gtest.h>
@@ -116,36 +116,64 @@ TEST(HistogramTest, MergeAccumulates) {
   EXPECT_EQ(merged.max, 50);
 }
 
-// ---------------------------------------------------------------- SpanTimer
+// ------------------------------------------------------------------- Span
+// telemetry::Span is the one timing scope: its histogram side, with the
+// clock injected the one way there is (Tracer::Options::clock).
 
-TEST(SpanTimerTest, ObservesVirtualClockDelta) {
+Tracer::Options ClockOnly(const Clock* clock) {
+  Tracer::Options options;
+  options.clock = clock;  // rate 0: the spans below time, never trace
+  return options;
+}
+
+TEST(TelemetrySpanTest, ObservesVirtualClockDelta) {
   VirtualClock clock;
+  Tracer tracer(ClockOnly(&clock));
   Histogram h;
   {
-    SpanTimer span(&clock, &h);
+    Span span(&tracer, "unit", &h);
     clock.Advance(250);
   }
   const Histogram::Snapshot snapshot = h.TakeSnapshot();
   EXPECT_EQ(snapshot.count, 1);
   EXPECT_EQ(snapshot.sum, 250);
+  EXPECT_TRUE(tracer.store().Snapshot().empty());
 }
 
-TEST(SpanTimerTest, StopReturnsElapsedAndDisarms) {
+TEST(TelemetrySpanTest, FinishReturnsElapsedAndDisarms) {
   VirtualClock clock;
+  Tracer tracer(ClockOnly(&clock));
   Histogram h;
-  SpanTimer span(&clock, &h);
+  Span span(&tracer, "unit", TraceContext(), &h);
   clock.Advance(70);
-  EXPECT_EQ(span.Stop(), 70);
+  EXPECT_EQ(span.Finish(), 70);
   clock.Advance(1000);
-  EXPECT_EQ(span.Stop(), 0);  // second Stop is a no-op
+  EXPECT_EQ(span.Finish(), 0);  // second Finish is a no-op
   EXPECT_EQ(h.TakeSnapshot().count, 1);
 }
 
-TEST(SpanTimerTest, NullHistogramDisablesSpan) {
-  VirtualClock clock;
-  SpanTimer span(&clock, nullptr);
-  clock.Advance(50);
-  EXPECT_EQ(span.Stop(), 0);
+/// Counts clock reads: an inert scope must take none.
+class CountingClock : public Clock {
+ public:
+  Timestamp NowMicros() const override { return ++reads_; }
+  int reads() const { return static_cast<int>(reads_); }
+
+ private:
+  mutable Timestamp reads_ = 0;
+};
+
+TEST(TelemetrySpanTest, NullHistogramWithoutTraceIsInert) {
+  CountingClock clock;
+  Tracer tracer(ClockOnly(&clock));
+  {
+    Span root(&tracer, "unit", nullptr);
+    Span child(&tracer, "unit", TraceContext(), nullptr);
+    EXPECT_EQ(child.Finish(), 0);
+  }
+  EXPECT_EQ(clock.reads(), 0);
+  Histogram h;
+  { Span timed(&tracer, "unit", &h); }
+  EXPECT_EQ(clock.reads(), 2);  // one read to open, one to finish
 }
 
 // ---------------------------------------------------------------- Registry
@@ -289,7 +317,8 @@ TEST(QueryManagerTelemetryTest, SlowQueryLogCountsOverThreshold) {
   MetricRegistry registry;
   container::QueryManager qm(&tables, &registry);
   SteppingClock stepping(1000);  // every span measures 1000 us
-  qm.set_span_clock(&stepping);
+  Tracer tracer(ClockOnly(&stepping));
+  qm.set_tracer(&tracer);
 
   qm.set_slow_query_micros(2000);  // above every span: nothing is slow
   ASSERT_TRUE(qm.Execute("select * from t").ok());
@@ -376,6 +405,29 @@ TEST_F(TelemetryIntegrationTest, PipelineFillsTheSharedRegistry) {
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->stats.produced,
             registry_.SumCounters("gsn_sensor_tuples_total"));
+}
+
+TEST_F(TelemetryIntegrationTest, TickHotSpanIsReadOffTheTickHistogram) {
+  DeployAndRun();  // 10 ticks
+  const container::Container::ContainerStatus status =
+      container_->GetStatus();
+  const Histogram::Snapshot tick =
+      registry_.SumHistograms("gsn_tick_micros");
+  ASSERT_EQ(tick.count, 10);
+  bool found = false;
+  for (size_t i = 0; i < status.hot_spans.size(); ++i) {
+    const container::Container::HotSpan& span = status.hot_spans[i];
+    EXPECT_GT(span.count, 0) << span.name;  // zero-count spans left out
+    if (i > 0) {
+      EXPECT_GE(status.hot_spans[i - 1].total_micros, span.total_micros);
+    }
+    if (span.name != "tick") continue;
+    found = true;
+    EXPECT_EQ(span.count, tick.count);
+    EXPECT_EQ(span.total_micros, tick.sum);
+    EXPECT_EQ(span.max_micros, tick.max);
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST_F(TelemetryIntegrationTest, MetricsEndpointReflectsDeployedSensor) {

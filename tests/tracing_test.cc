@@ -416,7 +416,10 @@ TEST(QueryManagerTracingTest, SlowLogCapturesSourceAndAnalyzedPlan) {
   sql::MapResolver resolver = sql::MakeJoinedTables();
   QueryManager qm(&resolver);
   QmSteppingClock stepping(1000);  // every span measures 1000 us
-  qm.set_span_clock(&stepping);
+  telemetry::Tracer::Options clock_only;
+  clock_only.clock = &stepping;
+  telemetry::Tracer tracer(clock_only);
+  qm.set_tracer(&tracer);
   qm.set_slow_query_micros(500);  // everything is slow
 
   ASSERT_TRUE(qm.Execute(kQmJoinSql, "web").ok());
@@ -441,6 +444,43 @@ TEST(QueryManagerTracingTest, ExecutionRootsSpanWithSourceAttribution) {
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "query.execute");
   EXPECT_EQ(spans[0].sensor, "mgmt");
+}
+
+TEST(QueryManagerTracingTest, ExecuteSpanHistogramAndSlowLogShareOneReading) {
+  sql::MapResolver resolver = sql::MakeJoinedTables();
+  telemetry::MetricRegistry registry;
+  QueryManager qm(&resolver, &registry);
+  QmSteppingClock stepping(1000);
+  telemetry::Tracer::Options options;
+  options.sample_rate = 1.0;
+  options.clock = &stepping;
+  telemetry::Tracer tracer(options);
+  qm.set_tracer(&tracer);
+  qm.set_slow_query_micros(1);  // log every execution
+  std::vector<std::string> lines;
+  Logger::Instance().SetSink(
+      [&lines](const std::string& line) { lines.push_back(line); });
+
+  ASSERT_TRUE(qm.Execute(kQmJoinSql, "web").ok());
+  Logger::Instance().SetSink(nullptr);
+  std::vector<telemetry::SpanRecord> spans = tracer.store().Snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "query.execute");
+  const telemetry::Histogram::Snapshot exec =
+      registry.SumHistograms("gsn_query_exec_micros");
+  ASSERT_EQ(exec.count, 1);
+  const std::vector<QueryManager::SlowQueryEntry> entries = qm.slow_log();
+  ASSERT_EQ(entries.size(), 1u);
+  // One open reading and one finish reading feed all three views.
+  EXPECT_EQ(spans[0].duration_micros, 1000);
+  EXPECT_EQ(exec.sum, spans[0].duration_micros);
+  EXPECT_EQ(entries[0].elapsed_micros, spans[0].duration_micros);
+  // The slow-query warning is written after Finish() and still carries
+  // the span's trace id.
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("trace=" + spans[0].TraceIdHex()),
+            std::string::npos)
+      << lines[0];
 }
 
 }  // namespace
